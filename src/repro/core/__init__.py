@@ -9,7 +9,8 @@ from repro.core.config import FlowerConfig, GossipConfig, MessageSizeModel
 from repro.core.keys import DRingKey, KeyScheme
 from repro.core.dring import DRing
 from repro.core.directory_peer import DirectoryEntry, DirectoryPeer
-from repro.core.content_peer import ContentPeer, GossipMessage, PushMessage
+from repro.core.columns import ColumnarGossipMessage, ColumnarView
+from repro.core.content_peer import ContentPeer, PushMessage
 from repro.core.system import FlowerCDN
 from repro.core.churn import ChurnConfig, ChurnInjector
 from repro.core.replication import ActiveReplicator, ReplicationConfig
@@ -24,7 +25,8 @@ __all__ = [
     "DirectoryPeer",
     "DirectoryEntry",
     "ContentPeer",
-    "GossipMessage",
+    "ColumnarView",
+    "ColumnarGossipMessage",
     "PushMessage",
     "FlowerCDN",
     "ChurnConfig",

@@ -2,7 +2,8 @@
 
 These are the building blocks the paper's directory and content peers rely
 on: content/directory *summaries* are Bloom filters (Fan et al., "Summary
-cache"), peer views are bounded lists of aged entries, and the optional
+cache"), peer views are bounded lists of aged entries (the protocol keeps
+them in the columnar form of :mod:`repro.core.columns`), and the optional
 cache-replacement extension uses an LRU policy.
 """
 

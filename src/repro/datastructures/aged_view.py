@@ -2,11 +2,12 @@
 
 Content peers keep a *view* of at most ``Vgossip`` contacts, each entry
 carrying an *age* counter ("the age of the entry since the moment it was
-created", Section 4.2).  Directory peers keep a complete view of their
-overlay with the same ageing semantics.  The gossip merge rule of
-Algorithm 4 — collect both views, drop duplicates keeping the youngest
-instance, keep the ``Vgossip`` most recent entries — lives here so the same
-code path serves content peers, directory entries and tests.
+created", Section 4.2).  This module is the generic, object-per-entry form
+of such a view, with the gossip merge rule of Algorithm 4 — collect both
+views, drop duplicates keeping the youngest instance, keep the ``Vgossip``
+most recent entries.  The protocol itself runs on the columnar form of the
+same rules, :class:`repro.core.columns.ColumnarView`, which ages a whole
+view with one clock increment instead of rebuilding it.
 """
 
 from __future__ import annotations

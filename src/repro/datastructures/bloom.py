@@ -16,10 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import TYPE_CHECKING, Iterable, Iterator, List
-
-if TYPE_CHECKING:
-    from repro.datastructures.aged_view import AgedEntry
+from typing import Iterable, Iterator
 
 
 def _hash_pair(item: str) -> tuple[int, int]:
@@ -58,39 +55,11 @@ def _mask_for(num_bits: int, num_hashes: int, item: str) -> int:
 def mask_for(num_bits: int, num_hashes: int, item: str) -> int:
     """OR-mask of ``item``'s bit positions for the given filter geometry.
 
-    Public entry point for packed-summary backends (``repro.core.columns``)
-    that operate on raw bit masks: sharing the memoised table with
-    :class:`BloomFilter` guarantees bit-identical summaries across backends.
+    Public entry point for the packed summaries of :mod:`repro.core.columns`,
+    which operate on raw bit masks: sharing the memoised table with
+    :class:`BloomFilter` keeps packed summaries bit-identical to filters.
     """
     return _mask_for(num_bits, num_hashes, item)
-
-
-def entries_maybe_containing(
-    entries: "Iterable[AgedEntry[BloomFilter]]", item: str
-) -> "List[AgedEntry[BloomFilter]]":
-    """Filter aged-view entries whose Bloom payload may contain ``item``.
-
-    Hot-path helper for local query resolution: all summaries in one overlay
-    share a geometry, so the item's probe mask is computed once per distinct
-    ``(num_bits, num_hashes)`` encountered and compared against each filter's
-    bit set directly, instead of re-deriving positions per probe.  Entries
-    with no payload are skipped.
-    """
-    result = []
-    mask = 0
-    geom_bits = geom_hashes = -1
-    for entry in entries:
-        payload = entry.payload
-        if payload is None:
-            continue
-        num_bits = payload._num_bits
-        num_hashes = payload._num_hashes
-        if num_bits != geom_bits or num_hashes != geom_hashes:
-            geom_bits, geom_hashes = num_bits, num_hashes
-            mask = _mask_for(num_bits, num_hashes, item)
-        if payload._bits & mask == mask:
-            result.append(entry)
-    return result
 
 
 class BloomFilter:

@@ -50,10 +50,6 @@ class ExperimentSetup:
     #: when True the metric collectors fold records into array reservoirs
     #: instead of retaining per-query objects (paper-scale memory mode)
     compact_metrics: bool = False
-    #: when True Flower-CDN peers run on the columnar kernel backend
-    #: (repro.core.columns) — digest-identical to the object backend,
-    #: substantially faster at paper scale; see docs/performance.md
-    kernel: bool = False
     #: compiled workload phases of a scenario program (empty: one stationary
     #: phase over the whole run — the historical behaviour)
     phases: Tuple[PhaseSpan, ...] = ()
@@ -163,6 +159,9 @@ class ExperimentRunner:
         self._trace: Optional[ResolvedTraceArrays] = None
         self._catalog: Optional[Catalog] = None
         self._flower_system: Optional[FlowerCDN] = None
+        #: the system bootstrapped to build the trace, kept for the next
+        #: build_flower() call so a Flower run bootstraps only once
+        self._prebuilt_flower: Optional[Tuple[Simulator, FlowerCDN]] = None
         self._last_replicator: Optional[ActiveReplicator] = None
 
     # -- environment construction ---------------------------------------------------
@@ -183,13 +182,24 @@ class ExperimentRunner:
             )
         return self._catalog
 
-    def build_flower(self) -> tuple[Simulator, FlowerCDN]:
+    def build_flower(
+        self, owned_websites: Optional[frozenset] = None
+    ) -> Tuple[Simulator, FlowerCDN]:
         """Construct a bootstrapped Flower-CDN system plus its simulator.
 
         Public so harnesses that need the simulator itself (e.g. the perf
         suite, which times the dispatch phase in isolation) can drive the
         replay themselves instead of going through :meth:`run_flower`.
+        ``owned_websites`` builds one shard of a space-sharded run (see
+        :class:`~repro.core.system.FlowerCDN`).
+
+        The first call after :meth:`resolved_trace` hands out the system that
+        the trace construction bootstrapped instead of bootstrapping another;
+        it has not run an event, so it equals a fresh build.
         """
+        prebuilt, self._prebuilt_flower = self._prebuilt_flower, None
+        if prebuilt is not None and owned_websites is None:
+            return prebuilt
         sim = Simulator(
             seed=self.setup.seed,
             end_time=self.setup.flower.simulation_duration_s,
@@ -202,13 +212,10 @@ class ExperimentRunner:
             latency_model=LatencyModel(self.topology),
             catalog=self.catalog,
             compact_metrics=self.setup.compact_metrics,
-            kernel=self.setup.kernel,
+            owned_websites=owned_websites,
         )
         system.bootstrap()
         return sim, system
-
-    # Backwards-compatible alias (pre-perf-suite name).
-    _build_flower = build_flower
 
     def build_squirrel(self) -> tuple[Simulator, Squirrel]:
         """Construct a bootstrapped Squirrel baseline plus its simulator.
@@ -245,7 +252,7 @@ class ExperimentRunner:
         # Directory-peer hosts are excluded from client assignment so the same
         # trace is valid for both Flower-CDN (where those hosts are reserved)
         # and Squirrel (where they simply never ask anything).
-        _, probe_system = self._build_flower()
+        probe_sim, probe_system = self.build_flower()
         reserved = probe_system.reserved_hosts
         generator = QueryGenerator(
             self.setup.workload, RandomStreams(self.setup.seed + 1), catalog=self.catalog
@@ -260,6 +267,7 @@ class ExperimentRunner:
         self._trace = assigner.assign_trace(
             generator.generate_trace(duration, phases=self.setup.phases)
         )
+        self._prebuilt_flower = (probe_sim, probe_system)
         return self._trace
 
     def resolved_queries(self) -> List[ResolvedQuery]:
@@ -301,7 +309,7 @@ class ExperimentRunner:
         (:meth:`repro.session.Session.attach_models`).
         """
         self.resolved_trace()  # build the trace before the live system exists
-        sim, system = self._build_flower()
+        sim, system = self.build_flower()
         injectors = []
         if churn is not None and churn.is_enabled:
             injectors.append(ChurnInjector(system, churn))

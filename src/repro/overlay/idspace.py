@@ -10,7 +10,9 @@ distance, interval membership and key hashing.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -104,3 +106,27 @@ class IdSpace:
                 c,
             ),
         )
+
+    def closest_in_sorted(self, key: int, ids: Sequence[int]) -> int:
+        """:meth:`closest_to` over ascending, duplicate-free ``ids`` in O(log n).
+
+        Only the two ring neighbours of the key's bisect point can minimise
+        the circular distance: the first id clockwise from the key (which
+        minimises the clockwise distance) and the first counter-clockwise
+        (which minimises the other way round).  Comparing those two under
+        :meth:`closest_to`'s full ``(distance, clockwise, id)`` key gives
+        exactly its result, ties included.
+        """
+        if not ids:
+            raise ValueError("candidates must not be empty")
+        index = bisect_left(ids, key)
+        after = ids[index % len(ids)]
+        before = ids[index - 1]
+        if after == before:
+            return after
+        size = self.size
+        after_cw = (after - key) % size
+        before_cw = (before - key) % size
+        after_rank = (min(after_cw, size - after_cw), after_cw, after)
+        before_rank = (min(before_cw, size - before_cw), before_cw, before)
+        return after if after_rank < before_rank else before

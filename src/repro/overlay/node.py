@@ -10,6 +10,12 @@ paper's routing algorithms need are implemented here:
   the same, restricted to known nodes satisfying a predicate (D-ring uses
   "same website ID as the key").
 
+Every hop of a route runs one of these lookups, so each node caches its
+known nodes as a sorted list and answers a lookup with one bisect
+(:meth:`~repro.overlay.idspace.IdSpace.closest_in_sorted`).  The routing-state
+writers — :meth:`ChordNode.forget`, :meth:`ChordNode.remember` and
+:func:`rebuild_routing_state` — drop the cache.
+
 Routing state is bidirectional: alongside the classic clockwise finger table
 each node keeps *backward fingers* (the first live node counter-clockwise
 from ``id - 2^i``), so greedy numerically-closest routing halves the distance
@@ -39,6 +45,8 @@ class ChordNode:
         self.successors: List[int] = []
         self.predecessor: Optional[int] = None
         self.alive = True
+        #: sorted known node ids, rebuilt lazily after a routing-state write
+        self._sorted_known: Optional[List[int]] = None
 
     # -- identity ----------------------------------------------------------
 
@@ -65,8 +73,16 @@ class ChordNode:
             known.add(self.predecessor)
         return known
 
+    def sorted_known_nodes(self) -> List[int]:
+        """:meth:`known_nodes` ascending, cached until the next routing-state write."""
+        known = self._sorted_known
+        if known is None:
+            known = self._sorted_known = sorted(self.known_nodes())
+        return known
+
     def forget(self, node_id: int) -> None:
         """Drop a failed node from every routing-state slot."""
+        self._sorted_known = None
         self.fingers = [None if f == node_id else f for f in self.fingers]
         self.back_fingers = [None if f == node_id else f for f in self.back_fingers]
         self.successors = [s for s in self.successors if s != node_id]
@@ -77,6 +93,7 @@ class ChordNode:
         """Opportunistically place ``node_id`` into any finger slot it improves."""
         if node_id == self.node_id:
             return
+        self._sorted_known = None
         for index in range(self.idspace.bits):
             start = self.finger_start(index)
             current = self.fingers[index]
@@ -101,16 +118,16 @@ class ChordNode:
 
     def local_lookup(self, key: int) -> int:
         """The known node (or self) numerically closest to ``key``."""
-        return self.idspace.closest_to(key, sorted(self.known_nodes()))
+        return self.idspace.closest_in_sorted(key, self.sorted_known_nodes())
 
     def conditional_local_lookup(
         self, key: int, predicate: Callable[[int], bool]
     ) -> Optional[int]:
         """Closest known node satisfying ``predicate``, or ``None`` if there is none."""
-        candidates = [n for n in self.known_nodes() if predicate(n)]
+        candidates = [n for n in self.sorted_known_nodes() if predicate(n)]
         if not candidates:
             return None
-        return self.idspace.closest_to(key, sorted(candidates))
+        return self.idspace.closest_in_sorted(key, candidates)
 
     def closest_preceding(self, key: int) -> int:
         """Chord's ``closest_preceding_finger``: used by tests to cross-check routing."""
@@ -180,6 +197,7 @@ def rebuild_routing_state(
             for offset in range(1, min(successor_list_size, ring_size) + 1)
         ]
         node.predecessor = live_ids[(position - 1) % ring_size]
+        node._sorted_known = None
 
 
 def iter_live(nodes: Iterable[ChordNode]) -> Iterable[ChordNode]:

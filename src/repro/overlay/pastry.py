@@ -51,6 +51,8 @@ class PastryNode:
         self.routing_table: Dict[int, Dict[int, int]] = {}
         #: numerically closest nodes, half below and half above on the ring
         self.leaf_set: List[int] = []
+        #: sorted known node ids, rebuilt lazily after a routing-state write
+        self._sorted_known: Optional[List[int]] = None
 
     # -- identifier digits ----------------------------------------------------
 
@@ -79,7 +81,15 @@ class PastryNode:
             known.update(row.values())
         return known
 
+    def sorted_known_nodes(self) -> List[int]:
+        """:meth:`known_nodes` ascending, cached until the next routing-state write."""
+        known = self._sorted_known
+        if known is None:
+            known = self._sorted_known = sorted(self.known_nodes())
+        return known
+
     def forget(self, node_id: int) -> None:
+        self._sorted_known = None
         self.leaf_set = [n for n in self.leaf_set if n != node_id]
         for row in self.routing_table.values():
             stale = [digit for digit, node in row.items() if node == node_id]
@@ -96,7 +106,7 @@ class PastryNode:
         nodes) pick the numerically closest to the key.  Returning ourselves
         means the message is delivered here.
         """
-        known = sorted(self.known_nodes())
+        known = self.sorted_known_nodes()
         own_prefix = self.shared_prefix_length(key)
         better_prefix = [
             node
@@ -104,7 +114,7 @@ class PastryNode:
             if node != self.node_id and self._prefix_length(node, key) > own_prefix
         ]
         candidates = better_prefix if better_prefix else known
-        best = self.idspace.closest_to(key, candidates)
+        best = self.idspace.closest_in_sorted(key, candidates)
         # Never take a hop that moves numerically further from the key.
         if self.idspace.circular_distance(key, best) > self.idspace.circular_distance(
             key, self.node_id
@@ -115,10 +125,10 @@ class PastryNode:
     def conditional_local_lookup(
         self, key: int, predicate: Callable[[int], bool]
     ) -> Optional[int]:
-        candidates = [node for node in self.known_nodes() if predicate(node)]
+        candidates = [node for node in self.sorted_known_nodes() if predicate(node)]
         if not candidates:
             return None
-        return self.idspace.closest_to(key, sorted(candidates))
+        return self.idspace.closest_in_sorted(key, candidates)
 
     def _prefix_length(self, node_id: int, key: int) -> int:
         length = 0
@@ -161,6 +171,7 @@ def rebuild_pastry_state(nodes: Dict[int, "PastryNode"]) -> None:
                     node.idspace.circular_distance(node_id, current):
                 slot[digit] = other
         node.routing_table = table
+        node._sorted_known = None
 
 
 class PastryRing:
@@ -239,13 +250,13 @@ class PastryRing:
         live = self.live_ids()
         if not live:
             return None
-        return self._nodes[self.idspace.closest_to(key, live)]
+        return self._nodes[self.idspace.closest_in_sorted(key, live)]
 
     def owner_matching(self, key: int, predicate) -> Optional[PastryNode]:
         candidates = [nid for nid in self.live_ids() if predicate(nid)]
         if not candidates:
             return None
-        return self._nodes[self.idspace.closest_to(key, candidates)]
+        return self._nodes[self.idspace.closest_in_sorted(key, candidates)]
 
     # -- bulk construction ------------------------------------------------------------------
 

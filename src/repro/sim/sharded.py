@@ -32,7 +32,7 @@ from __future__ import annotations
 # Wall-clock reads below are perf accounting only (ShardRunStats); they
 # never feed simulated time or draws, hence the DET002 suppressions.
 import time as _time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
@@ -46,14 +46,11 @@ from repro.core.sharding import (
     validate_shardable,
     window_boundaries,
 )
-from repro.core.system import FlowerCDN
 from repro.experiments.driver import ExperimentRunner, RunResult
 from repro.metrics.collectors import BandwidthAccountant, MetricsCollector
 from repro.metrics.resilience import summarise_resilience
-from repro.network.latency import LatencyModel
 from repro.network.reachability import DeliveryStats
 from repro.scenarios.models import build_churn_model, build_fault_model
-from repro.sim.engine import Simulator
 from repro.workload.trace import ResolvedTraceArrays
 
 
@@ -66,7 +63,6 @@ class ShardTask:
     shard_index: int
     num_shards: int
     websites: Tuple[str, ...]
-    kernel: bool = False
 
 
 @dataclass
@@ -152,29 +148,13 @@ def _run_shard(task: ShardTask) -> ShardOutcome:
     """Run one shard start to finish, advancing in conservative windows."""
     spec = task.spec
     setup = spec.to_setup(task.seed)
-    if task.kernel:
-        setup = replace(setup, kernel=True)
     duration = setup.flower.simulation_duration_s
 
     setup_started = _time.perf_counter()  # repro: allow(DET002)
     runner = ExperimentRunner(setup)
     trace = runner.resolved_trace()
     sub_trace = _filter_trace(trace, frozenset(task.websites))
-
-    sim = Simulator(
-        seed=setup.seed, end_time=duration, queue_backend=setup.queue_backend
-    )
-    system = FlowerCDN(
-        setup.flower,
-        sim,
-        runner.topology,
-        latency_model=LatencyModel(runner.topology),
-        catalog=runner.catalog,
-        compact_metrics=setup.compact_metrics,
-        kernel=setup.kernel,
-        owned_websites=frozenset(task.websites),
-    )
-    system.bootstrap()
+    sim, system = runner.build_flower(owned_websites=frozenset(task.websites))
 
     # Attach the spec's churn/fault models exactly like Session.attach_models
     # does on the single-process path.  validate_shardable() has already
@@ -315,7 +295,6 @@ def run_sharded_flower(
     spec: "ScenarioSpec",
     seed: Optional[int] = None,
     shards: int = 2,
-    kernel: bool = False,
     jobs: Optional[int] = None,
 ) -> Tuple[RunResult, ShardRunStats]:
     """Run a flower scenario across ``shards`` shard engines and merge.
@@ -340,7 +319,6 @@ def run_sharded_flower(
             shard_index=index,
             num_shards=shards,
             websites=websites,
-            kernel=kernel,
         )
         for index, websites in enumerate(plan.assignments)
     ]

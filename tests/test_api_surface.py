@@ -1,9 +1,10 @@
 """API-surface snapshot: fails when the public API changes unintentionally.
 
 The committed snapshot (``tests/api_surface.json``) records the public
-symbols of :mod:`repro.session` and :mod:`repro.scenarios`, the field names
-of :class:`ScenarioSpec` / :class:`WorkloadPhase`, the public methods of
-:class:`Session`, and the built-in model registries.  Removing or renaming
+symbols of :mod:`repro.session`, :mod:`repro.scenarios` and
+:mod:`repro.core`, the field names of :class:`ScenarioSpec` /
+:class:`WorkloadPhase`, the public methods of :class:`Session` and the
+parameters of its constructors, and the built-in model registries.  Removing or renaming
 any of these is a breaking change for downstream users and must be done
 deliberately — by updating the snapshot in the same commit::
 
@@ -17,6 +18,7 @@ compatible).
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -26,6 +28,7 @@ SNAPSHOT_PATH = Path(__file__).parent / "api_surface.json"
 
 def current_surface() -> dict:
     import repro.analysis
+    import repro.core
     import repro.scenarios
     import repro.service
     import repro.session
@@ -46,6 +49,13 @@ def current_surface() -> dict:
         "repro.scenarios": sorted(repro.scenarios.__all__),
         "repro.sweeps": sorted(repro.sweeps.__all__),
         "Session": public_methods(Session),
+        "Session.parameters": sorted(
+            f"{method}({name})"
+            for method in ("__init__", "from_spec", "from_name")
+            for name in inspect.signature(getattr(Session, method)).parameters
+            if name not in ("self", "cls")
+        ),
+        "repro.core": sorted(repro.core.__all__),
         "ScenarioSpec.fields": sorted(
             field.name for field in dataclasses.fields(ScenarioSpec)
         ),

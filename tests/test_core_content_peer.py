@@ -4,10 +4,10 @@ import random
 
 import pytest
 
+from repro.core.columns import SUMMARY_NUM_HASHES, ColumnarGossipMessage
 from repro.core.config import FlowerConfig, GossipConfig
-from repro.core.content_peer import ContentPeer, GossipMessage
-from repro.datastructures.aged_view import AgedEntry
-from repro.datastructures.bloom import BloomFilter
+from repro.core.content_peer import ContentPeer
+from repro.datastructures.bloom import BloomFilter, mask_for
 
 
 @pytest.fixture
@@ -37,6 +37,16 @@ def obj(i: int) -> str:
     return f"http://site-000.example.org/object/{i}"
 
 
+def summary_of(config: FlowerConfig, *items: str) -> int:
+    """Packed summary bits of a Bloom filter holding ``items``."""
+    return BloomFilter.from_items(items, num_bits=config.summary_bits)._bits
+
+
+def might_contain(config: FlowerConfig, bits: int, item: str) -> bool:
+    mask = mask_for(config.summary_bits, SUMMARY_NUM_HASHES, item)
+    return bits & mask == mask
+
+
 class TestContentStorage:
     def test_store_and_has_object(self, config):
         peer = make_peer(config)
@@ -61,18 +71,21 @@ class TestContentStorage:
         peer = make_peer(config)
         for i in range(5):
             peer.store_object(obj(i))
-        summary = peer.content_summary()
-        assert all(summary.might_contain(obj(i)) for i in range(5))
+        summary = peer.summary_bits()
+        assert all(might_contain(config, summary, obj(i)) for i in range(5))
+        assert summary == summary_of(config, *(obj(i) for i in range(5)))
 
     def test_content_summary_cache_invalidated_on_change(self, config):
         peer = make_peer(config)
         peer.store_object(obj(1))
-        first = peer.content_summary()
-        assert first is peer.content_summary()  # cached
+        first = peer.summary_bits()
+        assert first == peer.summary_bits()  # cached
         peer.store_object(obj(2))
-        second = peer.content_summary()
-        assert second is not first
-        assert second.might_contain(obj(2))
+        second = peer.summary_bits()
+        assert second != first
+        assert might_contain(config, second, obj(2))
+        peer.drop_object(obj(1))
+        assert peer.summary_bits() == summary_of(config, obj(2))
 
     def test_lru_capacity_evicts_and_reports_removal(self):
         config = FlowerConfig(
@@ -90,21 +103,21 @@ class TestContentStorage:
 class TestView:
     def test_initialize_view_excludes_self(self, config):
         peer = make_peer(config, name="me")
-        peer.initialize_view([AgedEntry("me", 0), AgedEntry("other", 0)])
+        peer.initialize_view([("me", 0, None), ("other", 0, None)])
         assert "me" not in peer.view
         assert "other" in peer.view
 
     def test_view_respects_capacity(self, config):
         peer = make_peer(config)
-        peer.initialize_view([AgedEntry(f"p{i}", age=i) for i in range(20)])
+        peer.initialize_view([(f"p{i}", i, None) for i in range(20)])
         assert len(peer.view) == config.gossip.view_size
 
     def test_increment_ages_also_ages_directory_entry(self, config):
         peer = make_peer(config)
         peer.note_directory("d0")
-        peer.initialize_view([AgedEntry("p1", 0)])
+        peer.initialize_view([("p1", 0, None)])
         peer.increment_ages()
-        assert peer.view.get("p1").age == 1
+        assert peer.view.get("p1") == ("p1", 1, None)
         assert peer.directory_age == 1
 
     def test_note_directory_resets_age(self, config):
@@ -117,7 +130,7 @@ class TestView:
     def test_forget_contact(self, config):
         peer = make_peer(config)
         peer.note_directory("d0")
-        peer.initialize_view([AgedEntry("p1", 0)])
+        peer.initialize_view([("p1", 0, None)])
         peer.forget_contact("p1")
         assert "p1" not in peer.view
         peer.forget_contact("d0")
@@ -127,29 +140,25 @@ class TestView:
 class TestLocalResolution:
     def test_candidates_ordered_by_freshness(self, config):
         peer = make_peer(config)
-        fresh = BloomFilter.from_items([obj(7)], num_bits=config.summary_bits)
-        stale = BloomFilter.from_items([obj(7)], num_bits=config.summary_bits)
-        peer.initialize_view(
-            [AgedEntry("stale", age=5, payload=stale), AgedEntry("fresh", age=0, payload=fresh)]
-        )
+        summary = summary_of(config, obj(7))
+        peer.initialize_view([("stale", 5, summary), ("fresh", 0, summary)])
         assert peer.resolve_locally(obj(7)) == ["fresh", "stale"]
 
     def test_entries_without_summaries_are_skipped(self, config):
         peer = make_peer(config)
-        peer.initialize_view([AgedEntry("unknown", age=0, payload=None)])
+        peer.initialize_view([("unknown", 0, None)])
         assert peer.resolve_locally(obj(1)) == []
 
     def test_non_matching_summaries_are_skipped(self, config):
         peer = make_peer(config)
-        summary = BloomFilter.from_items([obj(1)], num_bits=config.summary_bits)
-        peer.initialize_view([AgedEntry("p", age=0, payload=summary)])
+        peer.initialize_view([("p", 0, summary_of(config, obj(1)))])
         assert peer.resolve_locally(obj(15)) == []
 
 
 class TestGossip:
     def test_partner_is_oldest_view_entry(self, config):
         peer = make_peer(config)
-        peer.initialize_view([AgedEntry("young", age=0), AgedEntry("old", age=7)])
+        peer.initialize_view([("young", 0, None), ("old", 7, None)])
         assert peer.select_gossip_partner() == "old"
 
     def test_partner_none_when_view_empty(self, config):
@@ -158,12 +167,12 @@ class TestGossip:
     def test_gossip_message_contains_summary_and_subset(self, config):
         peer = make_peer(config)
         peer.store_object(obj(1))
-        peer.initialize_view([AgedEntry(f"p{i}", age=i) for i in range(5)])
+        peer.initialize_view([(f"p{i}", i, None) for i in range(5)])
         message = peer.build_gossip_message(rng=random.Random(0))
-        assert isinstance(message, GossipMessage)
+        assert isinstance(message, ColumnarGossipMessage)
         assert message.sender == peer.peer_id
         assert message.num_entries == config.gossip.gossip_length
-        assert message.content_summary.might_contain(obj(1))
+        assert might_contain(config, message.summary_bits, obj(1))
 
     def test_exchange_adds_partner_with_fresh_summary(self, config):
         alice = make_peer(config, "alice", 0)
@@ -175,15 +184,15 @@ class TestGossip:
         alice.apply_gossip(reply)
         assert "alice" in bob.view
         assert "bob" in alice.view
-        assert alice.view.get("bob").age == 0
-        assert alice.view.get("bob").payload.might_contain(obj(2))
+        _, age, bits = alice.view.get("bob")
+        assert age == 0
+        assert might_contain(config, bits, obj(2))
         assert bob.gossip_received == 1
 
     def test_exchange_disseminates_third_party_entries(self, config):
         alice = make_peer(config, "alice")
         bob = make_peer(config, "bob")
-        carol_summary = BloomFilter.from_items([obj(9)], num_bits=config.summary_bits)
-        alice.initialize_view([AgedEntry("carol", age=1, payload=carol_summary)])
+        alice.initialize_view([("carol", 1, summary_of(config, obj(9)))])
         reply = bob.handle_gossip(alice.build_gossip_message())
         alice.apply_gossip(reply)
         assert "carol" in bob.view
@@ -192,7 +201,7 @@ class TestGossip:
     def test_view_never_contains_self_after_gossip(self, config):
         alice = make_peer(config, "alice")
         bob = make_peer(config, "bob")
-        bob.initialize_view([AgedEntry("alice", age=2)])
+        bob.initialize_view([("alice", 2, None)])
         reply = bob.handle_gossip(alice.build_gossip_message())
         alice.apply_gossip(reply)
         assert "alice" not in alice.view

@@ -1,75 +1,142 @@
-"""Kernel/object backend equivalence.
+"""The columnar protocol kernel: content-peer views and packed summaries.
 
-The columnar kernel (``repro.core.columns``) must be *indistinguishable* from
-the object backend in everything but speed.  Two layers of evidence:
+Content peers keep their gossip view in a :class:`ColumnarView` (rows under an
+epoch clock) and their content summary as the packed bits of a Bloom filter
+(``repro.core.columns``).  Two layers of evidence that this layout implements
+the protocol rules exactly:
 
-* **end to end** — every standard-tier scenario, run on the kernel at the
-  golden scale/seed, reproduces the committed golden digest byte for byte
-  (the object backend is pinned to the same files by
-  ``test_scenarios_golden.py``, so backend equality follows transitively);
-* **per structure** — property tests drive the columnar view, the packed
-  Bloom summaries and the kernel directory peer through random operation
-  sequences in lockstep with their object counterparts and require equal
-  observable state at every step.
+* **end to end** — every standard-tier scenario reproduces its committed
+  golden digest byte for byte, and the views and summaries of its final
+  system obey the structural invariants below;
+* **per structure** — property tests drive the view through random
+  operation sequences in lockstep with :class:`_AgedViewModel`, a
+  deliberately naive reference kept here (a dict of contact -> (age,
+  summary), rebuilt on every ageing tick), and require equal observable
+  state after every step; packed summaries are compared with
+  :class:`~repro.datastructures.bloom.BloomFilter`.
 """
 
 import random
 from pathlib import Path
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.columns import (
-    SUMMARY_NUM_HASHES,
-    ColumnarView,
-    KernelContentPeer,
-    KernelDirectoryPeer,
-)
+from repro.core.columns import SUMMARY_NUM_HASHES, ColumnarView
 from repro.core.config import FlowerConfig
-from repro.core.content_peer import ContentPeer, PushMessage
-from repro.core.directory_peer import DirectoryPeer
-from repro.datastructures.aged_view import AgedEntry, AgedView
+from repro.core.content_peer import ContentPeer
 from repro.datastructures.bloom import BloomFilter, mask_for
 from repro.scenarios import golden
 from repro.scenarios.library import scenario_names
 from repro.session import Session
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+NUM_BITS = 64
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
-# -- end to end: every standard scenario, byte-identical ----------------------
+# -- the reference model --------------------------------------------------------
+
+
+class _AgedViewModel:
+    """Algorithm 4's view rules, written as plainly as possible."""
+
+    def __init__(self, capacity: Optional[int]) -> None:
+        self.capacity = capacity
+        self.entries: Dict[str, Tuple[int, Optional[int]]] = {}
+
+    def columns(self) -> List[Tuple[str, int, Optional[int]]]:
+        return [(c, age, bits) for c, (age, bits) in self.entries.items()]
+
+    def _trim(self) -> None:
+        if self.capacity is None or len(self.entries) <= self.capacity:
+            return
+        youngest = sorted(self.columns(), key=lambda col: (col[1], col[0]))
+        self.entries = {c: (age, bits) for c, age, bits in youngest[: self.capacity]}
+
+    def merge(self, incoming, self_contact=None) -> None:
+        for contact, age, bits in incoming:
+            if contact == self_contact:
+                continue
+            existing = self.entries.get(contact)
+            if existing is None or age < existing[0]:
+                self.entries[contact] = (age, bits)
+        self._trim()
+
+    def put_fresh(self, contact: str, bits: Optional[int]) -> None:
+        self.entries[contact] = (0, bits)
+        self._trim()
+
+    def remove(self, contact: str) -> bool:
+        return self.entries.pop(contact, None) is not None
+
+    def increment_ages(self) -> None:
+        self.entries = {c: (age + 1, bits) for c, (age, bits) in self.entries.items()}
+
+    def select_oldest(self) -> Optional[str]:
+        if not self.entries:
+            return None
+        return max(self.columns(), key=lambda col: (col[1], col[0]))[0]
+
+    def select_subset(self, size: int, rng: Optional[random.Random]):
+        candidates = self.columns()
+        if size >= len(candidates):
+            return candidates
+        if rng is None:
+            return sorted(candidates, key=lambda col: (col[1], col[0]))[:size]
+        return rng.sample(candidates, size)
+
+    def entries_maybe_containing(self, item: str) -> List[str]:
+        """Contacts whose summary may hold ``item``, youngest first."""
+        bloom = BloomFilter(NUM_BITS, SUMMARY_NUM_HASHES)
+        hits = []
+        for contact, age, bits in self.columns():
+            if bits is None:
+                continue
+            bloom._bits = bits
+            if bloom.might_contain(item):
+                hits.append((age, contact))
+        return [contact for _, contact in sorted(hits)]
+
+
+def _summary(*items: str) -> int:
+    return BloomFilter.from_items(items, num_bits=NUM_BITS)._bits
+
+
+def _assert_view_invariants(view: ColumnarView, owner: Optional[str] = None) -> None:
+    columns = view.export_columns()
+    contacts = [contact for contact, _, _ in columns]
+    assert len(contacts) == len(set(contacts)) == len(view)
+    assert all(contact in view for contact in contacts)
+    assert view.capacity is None or len(view) <= view.capacity
+    assert owner not in view
+    assert all(age >= 0 for _, age, _ in columns)
+
+
+# -- end to end: every standard scenario, byte-identical -------------------------
 
 
 @pytest.mark.parametrize("name", sorted(scenario_names(tier="standard")))
 def test_kernel_reproduces_committed_golden_exactly(name):
     committed = golden.load_golden(name, GOLDEN_DIR)
-    fresh = golden.compute_golden_digest(name, kernel=True)
-    assert fresh == committed, (
-        f"kernel backend diverged from the committed golden for {name!r}; "
-        "the two backends must be digest-identical"
-    )
+    session = Session.from_spec(golden.golden_spec(name), seed=golden.GOLDEN_SEED)
+    fresh = golden.result_digest(session.run(), scale=golden.golden_scale_for(name))
+    assert fresh == committed, f"digest of {name!r} diverged from the committed golden"
+
+    system = session.experiment.last_flower_system
+    if system is None:  # a Squirrel-only scenario
+        return
+    for peer_id in system.alive_content_peer_ids():
+        peer = system.content_peer(peer_id)
+        _assert_view_invariants(peer.view, owner=peer.peer_id)
+        rebuilt = BloomFilter.from_items(peer.objects, num_bits=system.config.summary_bits)
+        assert peer.summary_bits() == rebuilt._bits
 
 
-def test_session_kernel_flag_round_trips():
-    session = Session.from_name("paper-default", kernel=True)
-    assert session.kernel is True
-    assert session.setup.kernel is True
-    _, system = session.build_flower()
-    assert system.kernel is True
-    assert isinstance(next(iter(system._directory_peers.values())), KernelDirectoryPeer)
-
-
-def test_object_backend_remains_the_default():
-    session = Session.from_name("paper-default")
-    assert session.kernel is False
-    _, system = session.build_flower()
-    assert system.kernel is False
-    directory = next(iter(system._directory_peers.values()))
-    assert not isinstance(directory, KernelDirectoryPeer)
-
-
-# -- property: columnar view vs aged view -------------------------------------
+# -- property: the columnar view against the reference model ---------------------
 
 contacts = st.sampled_from([f"p{i}" for i in range(16)])
 view_ops = st.lists(
@@ -83,142 +150,104 @@ view_ops = st.lists(
 )
 
 
-def _payload(num_bits, seed):
-    bloom = BloomFilter(num_bits, SUMMARY_NUM_HASHES)
-    bloom.add(f"obj-{seed}")
-    return bloom
-
-
-def _view_state(view):
-    return [(e.contact, e.age, None if e.payload is None else e.payload._bits)
-            for e in view.entries()]
-
-
-@settings(max_examples=60, deadline=None)
-@given(view_ops, st.integers(1, 8), st.integers(0, 2**31))
-def test_columnar_view_mirrors_aged_view(ops, capacity, seed):
-    num_bits = 64
-    aged = AgedView(capacity=capacity)
-    cols = ColumnarView(capacity=capacity, num_bits=num_bits, num_hashes=SUMMARY_NUM_HASHES)
+@PROPERTY_SETTINGS
+@given(view_ops, st.one_of(st.none(), st.integers(1, 8)))
+def test_columnar_view_mirrors_aged_view(ops, capacity):
+    model = _AgedViewModel(capacity)
+    view = ColumnarView(capacity)
     for op, arg in ops:
         if op == "merge":
-            entries = [
-                AgedEntry(contact=c, age=a, payload=_payload(num_bits, a))
-                for c, a in arg
-            ]
-            aged.merge(entries, self_contact="self")
-            cols.merge_columns(
-                [(c, a, _payload(num_bits, a)._bits) for c, a in arg],
-                self_contact="self",
-            )
+            incoming = [(c, a, _summary(f"obj-{a}")) for c, a in arg]
+            model.merge(incoming, self_contact="self")
+            view.merge_columns(incoming, self_contact="self")
         elif op == "put":
-            bloom = _payload(num_bits, 99)
-            aged.put(AgedEntry(contact=arg, age=0, payload=bloom))
-            cols.put_fresh(arg, bloom._bits)
+            model.put_fresh(arg, _summary("fresh"))
+            view.put_fresh(arg, _summary("fresh"))
         elif op == "age":
-            aged.increment_ages()
-            cols.increment_ages()
+            model.increment_ages()
+            view.increment_ages()
         elif op == "remove":
-            assert aged.remove(arg) == cols.remove(arg)
-        assert _view_state(aged) == _view_state(cols)
-        oldest = aged.select_oldest()
-        assert (oldest.contact if oldest else None) == cols.select_oldest()
+            assert model.remove(arg) == view.remove(arg)
+        assert view.export_columns() == model.columns()
+        assert view.select_oldest() == model.select_oldest()
+        _assert_view_invariants(view, owner="self")
+    for contact in [f"p{i}" for i in range(16)]:
+        expected = model.entries.get(contact)
+        got = view.get(contact)
+        assert got == (None if expected is None else (contact, *expected))
 
 
-@settings(max_examples=40, deadline=None)
+@PROPERTY_SETTINGS
 @given(
-    st.lists(st.tuples(contacts, st.integers(0, 12)), min_size=0, max_size=20),
+    st.lists(st.tuples(contacts, st.integers(0, 12)), max_size=20),
     st.integers(1, 10),
     st.integers(0, 2**31),
+    st.booleans(),
 )
-def test_columnar_subset_sampling_is_draw_identical(pairs, size, seed):
-    num_bits = 64
-    aged = AgedView(capacity=30)
-    for c, a in pairs:
-        bloom = _payload(num_bits, a)
-        aged.put(AgedEntry(contact=c, age=a, payload=bloom))
-    cols = ColumnarView(capacity=30, num_bits=num_bits, num_hashes=SUMMARY_NUM_HASHES)
-    cols.merge_columns(
-        [(e.contact, e.age, None if e.payload is None else e.payload._bits)
-         for e in aged.entries()]
+def test_columnar_subset_sampling_is_draw_identical(pairs, size, seed, seeded):
+    incoming = [(c, a, _summary(f"obj-{a}")) for c, a in pairs]
+    model = _AgedViewModel(30)
+    model.merge(incoming)
+    view = ColumnarView(30)
+    view.merge_columns(incoming)
+    rng_model = random.Random(seed) if seeded else None
+    rng_view = random.Random(seed) if seeded else None
+    assert view.select_subset_columns(size, rng=rng_view) == model.select_subset(
+        size, rng_model
     )
-    rng_a = random.Random(seed)
-    rng_b = random.Random(seed)
-    subset_aged = aged.select_subset(size, rng=rng_a)
-    subset_cols = cols.select_subset_columns(size, rng=rng_b)
-    assert [(e.contact, e.age) for e in subset_aged] == [
-        (c, a) for c, a, _ in subset_cols
-    ]
-    assert rng_a.getstate() == rng_b.getstate()
+    if seeded:
+        assert rng_model.getstate() == rng_view.getstate()
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(contacts, st.integers(0, 12)), max_size=20),
-       st.text(min_size=1, max_size=12))
-def test_columnar_probe_matches_entries_maybe_containing(pairs, item):
-    from repro.datastructures.bloom import entries_maybe_containing
-    from operator import attrgetter
-
-    num_bits = 64
-    aged = AgedView(capacity=30)
-    cols = ColumnarView(capacity=30, num_bits=num_bits, num_hashes=SUMMARY_NUM_HASHES)
-    for index, (c, a) in enumerate(pairs):
-        bloom = BloomFilter(num_bits, SUMMARY_NUM_HASHES)
-        bloom.add(f"obj-{index}")
-        if index % 3 == 0:
-            bloom.add(item)  # some summaries genuinely contain the probe item
-        aged.put(AgedEntry(contact=c, age=a, payload=bloom))
-    cols.merge_columns(
-        [(e.contact, e.age, e.payload._bits) for e in aged.entries()]
-    )
-    expected = entries_maybe_containing(aged, item)
-    expected.sort(key=attrgetter("age", "contact"))
-    assert [e.contact for e in expected] == cols.probe(
-        mask_for(num_bits, SUMMARY_NUM_HASHES, item)
-    )
+@PROPERTY_SETTINGS
+@given(
+    st.lists(st.tuples(contacts, st.integers(0, 12), st.booleans()), max_size=20),
+    st.text(min_size=1, max_size=12),
+)
+def test_columnar_probe_matches_entries_maybe_containing(rows, item):
+    incoming = []
+    for index, (contact, age, holds_item) in enumerate(rows):
+        if index % 4 == 3:
+            incoming.append((contact, age, None))  # a directory-seeded entry
+        elif holds_item:
+            incoming.append((contact, age, _summary(f"obj-{index}", item)))
+        else:
+            incoming.append((contact, age, _summary(f"obj-{index}")))
+    model = _AgedViewModel(30)
+    model.merge(incoming)
+    view = ColumnarView(30)
+    view.merge_columns(incoming)
+    mask = mask_for(NUM_BITS, SUMMARY_NUM_HASHES, item)
+    assert view.probe(mask) == model.entries_maybe_containing(item)
 
 
-# -- property: packed summaries vs Bloom filters ------------------------------
+# -- property: packed summaries against Bloom filters ----------------------------
+
+object_lists = st.lists(st.integers(0, 40), max_size=60)
 
 
-def _content_config():
-    return FlowerConfig()
+def _content_peer(config: FlowerConfig) -> ContentPeer:
+    return ContentPeer(peer_id="c@1", host_id=1, website="w", locality=0, config=config)
 
 
-object_lists = st.lists(st.integers(0, 40), min_size=0, max_size=60)
-
-
-@settings(max_examples=40, deadline=None)
-@given(object_lists, object_lists)
-def test_packed_summary_tracks_bloom_filter(stored, dropped):
-    config = _content_config()
-    kernel = KernelContentPeer(
-        peer_id="c(k)@1", host_id=1, website="w", locality=0, config=config
-    )
-    plain = ContentPeer(
-        peer_id="c(o)@1", host_id=1, website="w", locality=0, config=config
-    )
+@PROPERTY_SETTINGS
+@given(object_lists, object_lists, st.one_of(st.none(), st.integers(1, 8)))
+def test_packed_summary_tracks_bloom_filter(stored, dropped, cache_capacity):
+    config = FlowerConfig(content_cache_capacity=cache_capacity)
+    peer = _content_peer(config)
     for rank in stored:
-        object_id = f"http://site-000.example.org/object/{rank}"
-        kernel.store_object(object_id)
-        plain.store_object(object_id)
+        peer.store_object(f"http://site-000.example.org/object/{rank}")
     for rank in dropped:
-        object_id = f"http://site-000.example.org/object/{rank}"
-        kernel.drop_object(object_id)
-        plain.drop_object(object_id)
-    assert kernel.summary_bits() == plain.content_summary()._bits
-    assert kernel.content_summary() == plain.content_summary()
-    rebuilt = BloomFilter.from_items(plain.objects, num_bits=config.summary_bits)
-    assert kernel.summary_bits() == rebuilt._bits
+        peer.drop_object(f"http://site-000.example.org/object/{rank}")
+    rebuilt = BloomFilter.from_items(peer.objects, num_bits=config.summary_bits)
+    assert peer.summary_bits() == rebuilt._bits
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(object_lists)
 def test_packed_summary_incremental_add_is_bit_identical(stored):
-    config = _content_config()
-    peer = KernelContentPeer(
-        peer_id="c(k)@1", host_id=1, website="w", locality=0, config=config
-    )
+    config = FlowerConfig()
+    peer = _content_peer(config)
     for rank in stored:
         peer.store_object(f"http://site-000.example.org/object/{rank}")
         # the incrementally maintained mask must equal a fresh rebuild at
@@ -227,82 +256,3 @@ def test_packed_summary_incremental_add_is_bit_identical(stored):
         for object_id in peer.objects:
             fresh |= mask_for(config.summary_bits, SUMMARY_NUM_HASHES, object_id)
         assert peer.summary_bits() == fresh
-
-
-# -- property: kernel directory peer vs object directory peer -----------------
-
-peer_ids = st.sampled_from([f"c{i}" for i in range(12)])
-dir_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("register"), peer_ids, st.integers(0, 20)),
-        st.tuples(st.just("push"), peer_ids, st.lists(st.integers(0, 20), max_size=5)),
-        st.tuples(st.just("keepalive"), peer_ids, st.none()),
-        st.tuples(st.just("age"), st.none(), st.none()),
-        st.tuples(st.just("evict"), st.none(), st.none()),
-        st.tuples(st.just("remove"), peer_ids, st.none()),
-    ),
-    max_size=50,
-)
-
-
-def _dir_state(directory):
-    return {
-        peer_id: (entry.age, sorted(entry.objects))
-        for peer_id, entry in directory.export_state().items()
-    }
-
-
-@settings(max_examples=60, deadline=None)
-@given(dir_ops)
-def test_kernel_directory_mirrors_object_directory(ops):
-    config = FlowerConfig()
-    kwargs = dict(host_id=1, website="w", locality=0, node_id=0, config=config)
-    plain = DirectoryPeer(peer_id="d(o)", **kwargs)
-    kernel = KernelDirectoryPeer(peer_id="d(k)", **kwargs)
-    for op, who, what in ops:
-        if op == "register":
-            object_id = f"http://site-000.example.org/object/{what}"
-            assert plain.register_client(who, object_id) == kernel.register_client(
-                who, object_id
-            )
-        elif op == "push":
-            push_args = dict(
-                added=tuple(f"http://site-000.example.org/object/{r}" for r in what),
-                removed=(),
-            )
-            plain.handle_push(PushMessage(sender=who, **push_args))
-            kernel.handle_push(PushMessage(sender=who, **push_args))
-        elif op == "keepalive":
-            plain.handle_keepalive(who)
-            kernel.handle_keepalive(who)
-        elif op == "age":
-            plain.increment_ages()
-            kernel.increment_ages()
-        elif op == "evict":
-            assert plain.evict_dead_entries() == kernel.evict_dead_entries()
-        elif op == "remove":
-            assert plain.remove_client(who) == kernel.remove_client(who)
-        assert _dir_state(plain) == _dir_state(kernel)
-        assert plain.indexed_objects() == kernel.indexed_objects()
-        for rank in range(5):
-            object_id = f"http://site-000.example.org/object/{rank}"
-            assert plain.lookup_index(object_id) == kernel.lookup_index(object_id)
-        assert plain.should_refresh_summary() == kernel.should_refresh_summary()
-        assert plain.build_summary() == kernel.build_summary()
-
-
-def test_kernel_directory_state_transfer_round_trip():
-    config = FlowerConfig()
-    kwargs = dict(host_id=1, website="w", locality=0, node_id=0, config=config)
-    source = KernelDirectoryPeer(peer_id="d(a)", **kwargs)
-    source.register_client("c1", "http://site-000.example.org/object/1")
-    source.increment_ages()
-    source.register_client("c2", "http://site-000.example.org/object/2")
-    source.increment_ages()
-    target = KernelDirectoryPeer(peer_id="d(b)", **kwargs)
-    target.import_state(source.export_state())
-    assert _dir_state(target) == _dir_state(source)
-    target.increment_ages()
-    assert target.entry("c1").age == 3
-    assert target.entry("c2").age == 2
-    assert target.lookup_index("http://site-000.example.org/object/1") == ["c1"]

@@ -11,6 +11,7 @@ import dataclasses
 import pytest
 
 from repro import Session as SessionFromTopLevel
+from repro.core.system import FlowerCDN
 from repro.experiments.driver import ExperimentRunner, ExperimentSetup
 from repro.scenarios import ScenarioRunner, ScenarioSpec, get_scenario, run_scenario
 from repro.session import Session
@@ -69,6 +70,21 @@ class TestExecution:
         first = Session.from_spec(spec, seed=4).run().to_dict()
         second = Session.from_spec(spec, seed=4).run().to_dict()
         assert first == second
+
+    def test_a_flower_run_bootstraps_once(self, monkeypatch):
+        """The system bootstrapped to build the trace is the one that runs."""
+        bootstrapped = []
+        original = FlowerCDN.bootstrap
+
+        def counting_bootstrap(system):
+            bootstrapped.append(system)
+            original(system)
+
+        monkeypatch.setattr(FlowerCDN, "bootstrap", counting_bootstrap)
+        session = Session.from_name("paper-default", scale=TINY_SCALE)
+        session.run()
+        assert len(bootstrapped) == 1
+        assert session.experiment.last_flower_system is bootstrapped[0]
 
 
 class TestBackCompatShims:

@@ -2,10 +2,10 @@
 
 The shard engine's contract is exact: a sharded run must reproduce the
 single-process run *byte for byte* at full precision — metrics, phases and
-every series point — independent of the shard count, the worker-pool size
-and the protocol backend.  These tests pin that contract, plus the shard
-planning, the conservative window barriers and the RNG stream scoping the
-contract rests on.
+every series point — independent of the shard count and the worker-pool
+size.  These tests pin that contract, plus the shard planning, the
+conservative window barriers and the RNG stream scoping the contract rests
+on.
 """
 
 from dataclasses import replace
@@ -58,11 +58,6 @@ class TestShardCountIndependence:
         inline = run_scenario(spec, seed=SEED, shards=2, shard_jobs=1).to_dict()
         pooled = run_scenario(spec, seed=SEED, shards=2, shard_jobs=2).to_dict()
         assert pooled == inline
-
-    def test_kernel_backend_sharded_matches_kernel_single_process(self):
-        baseline = _result_dict("paper-default", 0.25, kernel=True)
-        sharded = _result_dict("paper-default", 0.25, kernel=True, shards=2)
-        assert sharded == baseline
 
     def test_session_records_shard_stats(self):
         spec = get_scenario("paper-default").scaled(0.1)
